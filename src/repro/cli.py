@@ -489,6 +489,18 @@ def cmd_diagnose(args: argparse.Namespace) -> int:
     return 0
 
 
+def _time_scale(text: str) -> Optional[float]:
+    """``--time-scale`` value: a float, or ``none`` for no wall-clock limits."""
+    if text.lower() == "none":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or 'none', got {text!r}"
+        ) from None
+
+
 def _add_fault_model_option(p: argparse.ArgumentParser) -> None:
     """The fault-model knob shared by the fault-targeting commands."""
     p.add_argument("--fault-model", choices=fault_model_names(),
@@ -540,8 +552,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq-len", type=int, default=0,
                    help="GA sequence length x (default: 4 x sequential depth)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--time-scale", type=float, default=0.05,
-                   help="fraction of the paper's per-fault time limits")
+    p.add_argument("--time-scale", type=_time_scale, default=0.05,
+                   help="fraction of the paper's per-fault time limits, or "
+                        "'none' for deterministic limits (no wall clock)")
     p.add_argument("--backtracks", type=int, default=100,
                    help="pass-1 PODEM backtrack budget")
     p.add_argument("--prefilter", action="store_true",
@@ -630,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--passes", type=int, default=3)
     cp.add_argument("--seq-len", type=int, default=0,
                     help="GA sequence length x (default: 4 x seq. depth)")
-    cp.add_argument("--time-scale", type=float, default=None,
+    cp.add_argument("--time-scale", type=_time_scale, default=None,
                     help="fraction of the paper's per-fault time limits "
                          "(default none: fully deterministic items)")
     cp.add_argument("--backtracks", type=int, default=100)

@@ -78,13 +78,14 @@ def mutate(genome: int, n_bits: int, rate: float, rng: random.Random) -> int:
         return genome
     if rate >= 1.0:
         return genome ^ ((1 << n_bits) - 1)
+    log_keep = math.log(1.0 - rate)
     i = 0
     # jump from flipped bit to flipped bit instead of testing every bit
     while True:
         u = rng.random()
         if u <= 0.0:
             u = 1e-12
-        skip = int(math.log(u) / math.log(1.0 - rate))
+        skip = int(math.log(u) / log_keep)
         i += skip
         if i >= n_bits:
             return genome

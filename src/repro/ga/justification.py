@@ -9,15 +9,18 @@ reached after all previously generated tests) and the faulty circuit
 (starting all-unknown, as the paper prescribes, with the target fault
 injected in every slot).
 
-The state is compared against the requirement after **every** vector, so a
-successful sequence may be shorter than the coded length.  When no
-individual matches, fitness drives evolution toward the target:
+After **every** vector one AND-reduced mask says which slots fully match
+the requirement in both circuits, so a successful sequence may be shorter
+than the coded length; the lowest matching slot wins.  When no individual
+matches, fitness — computed from the state after the last coded vector —
+drives evolution toward the target:
 
     fitness = 9/10 · (# matching flip-flops, good circuit)
             + 1/10 · (# matching flip-flops, faulty circuit)
 
 A flip-flop matches when the requirement is a don't-care or the values are
-equal; a full match in both circuits scores exactly ``n_ff``.
+equal; a full match in both circuits scores exactly ``n_ff``.  The packed
+PI words of a batch come from one bit-matrix transpose of its genomes.
 """
 
 from __future__ import annotations
@@ -33,7 +36,13 @@ from ..circuit.netlist import Circuit
 from ..faults.model import Fault
 from ..knowledge import StateKnowledge
 from ..simulation.compiled import CompiledCircuit, compile_circuit
-from ..simulation.encoding import X, full_mask, pack, pack_const
+from ..simulation.encoding import (
+    X,
+    PackedValue,
+    full_mask,
+    pack_const,
+    popcount,
+)
 from ..simulation.fault_sim import injection_for
 from ..simulation.logic_sim import make_simulator, resolve_backend
 from ..telemetry import NULL_RECORDER, Recorder
@@ -107,6 +116,9 @@ class GAStateJustifier:
         self.n_pi = len(self.cc.pi)
         self.n_ff = len(self.cc.ff_out)
         self.constraints = self.ctx.constraints
+        self._ff_pos: Dict[str, int] = {
+            self.cc.net_names[net]: pos for pos, net in enumerate(self.cc.ff_out)
+        }
         # pin categories for constrained sequence decoding
         name_of = {i: self.cc.net_names[idx] for i, idx in enumerate(self.cc.pi)}
         self._fixed_pins: Dict[int, int] = {
@@ -229,8 +241,7 @@ class GAStateJustifier:
         self, required: Dict[str, int], state: Sequence[int]
     ) -> bool:
         for name, want in required.items():
-            pos = self.cc.ff_out.index(self.cc.index[name])
-            if state[pos] != want:
+            if state[self._ff_pos[name]] != want:
                 return False
         return True
 
@@ -283,6 +294,51 @@ class GAStateJustifier:
         return genome
 
 
+def _transpose(rows: Sequence[int], width: int) -> List[int]:
+    """Bit-matrix transpose: bit ``c`` of ``rows[r]`` is bit ``r`` of column ``c``.
+
+    Returns ``width`` columns; row bits at or above ``width`` are ignored.
+    """
+    if not rows or not width:
+        return [0] * width
+    fmt = f"0{width}b"
+    keep = (1 << width) - 1
+    # The last row leads each column string, so it parses as the top bit.
+    columns = [
+        int("".join(col), 2)
+        for col in zip(*[format(row & keep, fmt) for row in reversed(rows)])
+    ]
+    columns.reverse()  # strings list the top bit first
+    return columns
+
+
+def _cared(
+    required: Dict[str, int], ff_pos: Dict[str, int]
+) -> List[Tuple[int, bool]]:
+    """Cared flip-flops as (position, wants 1); don't-cares always match."""
+    return [(ff_pos[name], val == 1) for name, val in required.items() if val != X]
+
+
+def _match_words(
+    state: Sequence[PackedValue], cares: Sequence[Tuple[int, bool]], mask: int
+) -> List[int]:
+    """Per cared flip-flop, the slots where the state meets the requirement."""
+    words: List[int] = []
+    for pos, want_one in cares:
+        p1, p0 = state[pos]
+        words.append((p1 & ~p0 if want_one else p0 & ~p1) & mask)
+    return words
+
+
+def _full_match(
+    state: Sequence[PackedValue], cares: Sequence[Tuple[int, bool]], hit: int
+) -> int:
+    """The slots of ``hit`` where every cared flip-flop meets the requirement."""
+    for word in _match_words(state, cares, hit):
+        hit &= word
+    return hit
+
+
 class _SequenceEvaluator:
     """Bit-parallel fitness evaluation of one population."""
 
@@ -299,14 +355,8 @@ class _SequenceEvaluator:
         self.params = params
         self.fault = fault
         self.start_good = start_good
-        cc = justifier.cc
-        # per-flip-flop requirement scalars, in flip-flop order (X = don't care)
-        self.req_good = [X] * justifier.n_ff
-        for name, val in required_good.items():
-            self.req_good[cc.ff_out.index(cc.index[name])] = val
-        self.req_faulty = [X] * justifier.n_ff
-        for name, val in required_faulty.items():
-            self.req_faulty[cc.ff_out.index(cc.index[name])] = val
+        self.good_cares = _cared(required_good, justifier._ff_pos)
+        self.faulty_cares = _cared(required_faulty, justifier._ff_pos)
 
     def evaluate(
         self, genomes: Sequence[int]
@@ -341,59 +391,54 @@ class _SequenceEvaluator:
         # faulty circuit starts all-unknown (paper, Section IV-A)
 
         seq_len = max(1, self.params.seq_len)
-        n_pi = j.n_pi
-        fixed = j._fixed_pins
-        hold = j._hold_pins
-        for v in range(seq_len):
-            vector = []
-            base = v * n_pi
-            for pin in range(n_pi):
-                if pin in fixed:
-                    vector.append(pack_const(fixed[pin], w))
-                    continue
-                bit = pin if pin in hold else base + pin
-                p1 = 0
-                for slot, genome in enumerate(batch):
-                    p1 |= ((genome >> bit) & 1) << slot
-                vector.append((p1, (~p1) & mask))
+        for v, vector in enumerate(self._pi_words(batch, seq_len, w)):
             good_sim.step(vector)
             faulty_sim.step(vector)
-            good_match = self._match_counts(good_sim.get_state(), self.req_good, w)
-            faulty_match = self._match_counts(
-                faulty_sim.get_state(), self.req_faulty, w
-            )
-            for slot in range(w):
-                if (
-                    good_match[slot] == j.n_ff
-                    and faulty_match[slot] == j.n_ff
-                ):
-                    return (
-                        [0.0] * w,
-                        j.decode(batch[slot], seq_len, v + 1),
-                    )
-        fitnesses = [
-            self.params.good_weight * good_match[slot]
-            + self.params.faulty_weight * faulty_match[slot]
-            for slot in range(w)
-        ]
-        return fitnesses, None
+            hit = _full_match(good_sim.get_state(), self.good_cares, mask)
+            if hit:
+                hit = _full_match(faulty_sim.get_state(), self.faulty_cares, hit)
+            if hit:
+                slot = (hit & -hit).bit_length() - 1  # the lowest slot wins
+                return [0.0] * w, j.decode(batch[slot], seq_len, v + 1)
+        good_match = self._match_counts(good_sim.get_state(), self.good_cares, w)
+        faulty_match = self._match_counts(
+            faulty_sim.get_state(), self.faulty_cares, w
+        )
+        good_weight = self.params.good_weight
+        faulty_weight = self.params.faulty_weight
+        return [
+            good_weight * good + faulty_weight * faulty
+            for good, faulty in zip(good_match, faulty_match)
+        ], None
 
-    @staticmethod
+    def _pi_words(
+        self, batch: Sequence[int], seq_len: int, w: int
+    ) -> List[List[PackedValue]]:
+        """Packed PI vectors of a batch, decoded as :meth:`GAStateJustifier.decode`."""
+        j = self.j
+        n_pi = j.n_pi
+        mask = full_mask(w)
+        genome_bits = _transpose(batch, seq_len * n_pi)
+        fixed = {pin: pack_const(val, w) for pin, val in j._fixed_pins.items()}
+        vectors: List[List[PackedValue]] = []
+        for v in range(seq_len):
+            vector: List[PackedValue] = []
+            for pin in range(n_pi):
+                if pin in fixed:
+                    vector.append(fixed[pin])
+                    continue
+                p1 = genome_bits[pin if pin in j._hold_pins else v * n_pi + pin]
+                vector.append((p1, ~p1 & mask))
+            vectors.append(vector)
+        return vectors
+
     def _match_counts(
-        state: Sequence[Tuple[int, int]], required: Sequence[int], w: int
+        self,
+        state: Sequence[PackedValue],
+        cares: Sequence[Tuple[int, bool]],
+        w: int,
     ) -> List[int]:
         """Per-slot count of flip-flops satisfying the requirement."""
-        counts = [0] * w
-        for (p1, p0), want in zip(state, required):
-            if want == X:
-                for slot in range(w):
-                    counts[slot] += 1
-                continue
-            if want == 1:
-                ok = p1 & ~p0
-            else:
-                ok = p0 & ~p1
-            for slot in range(w):
-                if ok & (1 << slot):
-                    counts[slot] += 1
-        return counts
+        dont_care = self.j.n_ff - len(cares)
+        words = _match_words(state, cares, full_mask(w))
+        return [dont_care + popcount(column) for column in _transpose(words, w)]

@@ -57,6 +57,22 @@ class TestCommands:
                      "--time-scale", "0.05"]) == 0
         assert "prefilter:" in capsys.readouterr().out
 
+    def test_atpg_time_scale_none_is_reproducible(self, tmp_path, capsys):
+        """Without wall-clock limits both backends write the same bytes."""
+        written = []
+        for backend in ("event", "codegen"):
+            out_file = tmp_path / f"{backend}.vec"
+            assert main(["atpg", "s27", "-o", str(out_file), "--passes", "1",
+                         "--time-scale", "none", "--seed", "1",
+                         "--backend", backend]) == 0
+            written.append(out_file.read_bytes())
+        assert written[0] and written[0] == written[1]
+
+    def test_atpg_rejects_bad_time_scale(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["atpg", "s27", "--time-scale", "fast"])
+        assert "expected a number or 'none'" in capsys.readouterr().err
+
     def test_faultsim_roundtrip(self, tmp_path, capsys):
         out_file = str(tmp_path / "tests.vec")
         main(["atpg", "s27", "-o", out_file, "--time-scale", "0.05",
