@@ -107,15 +107,6 @@ class CampaignSpec:
             semantics; serialized only when non-default, so stuck-at
             specs keep the hash (and journal identity) they had before
             the field existed.
-        knowledge_broadcast: live cross-worker fact sharing.  When on,
-            pooled workers publish proven justified/unjustifiable states
-            to a side channel next to the journal and fold peers' facts
-            into their own stores mid-run.  Facts are sound, so results
-            stay valid — but an item's trajectory then depends on fact
-            arrival timing, so broadcast campaigns trade the strict
-            bit-equality (across worker counts and resumes) of isolated
-            stores for wall-clock speed.  Off by default; lives in the
-            spec because it affects results.
     """
 
     circuits: Tuple[str, ...]
@@ -136,7 +127,6 @@ class CampaignSpec:
     synthetic_item_seconds: Optional[float] = None
     knowledge: bool = True
     knowledge_file: Optional[str] = None
-    knowledge_broadcast: bool = False
     policy_file: Optional[str] = None
     fault_model: str = "stuck_at"
 
@@ -183,10 +173,9 @@ class CampaignSpec:
         data = asdict(self)
         data["circuits"] = list(self.circuits)
         data["schema"] = SPEC_SCHEMA
-        # serialized only when on: specs that never opt in keep the hash
-        # (and journal identity) they had before the field existed
-        if not self.knowledge_broadcast:
-            del data["knowledge_broadcast"]
+        # later fields are serialized only when non-default, so specs
+        # that leave them alone keep the hash (and journal identity) they
+        # had before the field existed
         if self.policy_file is None:
             del data["policy_file"]
         if self.justify_depth == 16:

@@ -185,7 +185,7 @@ def cmd_atpg(args: argparse.Namespace) -> int:
             knowledge = preloaded
     if args.baseline:
         driver = hitec_baseline(circuit, seed=args.seed,
-                                backend=args.backend, jobs=args.jobs,
+                                backend=args.backend,
                                 telemetry=recorder, knowledge=knowledge,
                                 policy=policy, faults=faults,
                                 fault_model=args.fault_model)
@@ -196,7 +196,7 @@ def cmd_atpg(args: argparse.Namespace) -> int:
         )
     else:
         driver = gahitec(circuit, seed=args.seed,
-                         backend=args.backend, jobs=args.jobs,
+                         backend=args.backend,
                          telemetry=recorder, knowledge=knowledge,
                          policy=policy, faults=faults,
                          fault_model=args.fault_model)
@@ -303,7 +303,6 @@ def _spec_from_args(args: argparse.Namespace) -> CampaignSpec:
         max_attempts=args.max_attempts,
         knowledge=not args.no_knowledge,
         knowledge_file=args.knowledge_from,
-        knowledge_broadcast=args.broadcast,
         policy_file=args.policy,
         fault_model=args.fault_model,
     )
@@ -433,7 +432,7 @@ def cmd_faultsim(args: argparse.Namespace) -> int:
     circuit = resolve_circuit(args.circuit)
     vectors = _read_vectors(args.vectors, len(circuit.inputs))
     report = evaluate_test_set(circuit, vectors,
-                               backend=args.backend, jobs=args.jobs,
+                               backend=args.backend,
                                fault_model=args.fault_model)
     print(report)
     if args.list_undetected:
@@ -517,8 +516,6 @@ def _add_sim_options(p: argparse.ArgumentParser) -> None:
                         "or 'event'; 'codegen' compiles per-circuit kernels; "
                         "'numpy' runs a vectorized matrix sweep and falls "
                         "back to codegen when numpy is unavailable)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="fault-simulation worker processes (default 1)")
     p.add_argument("--kernel-cache", metavar="DIR", default=None,
                    help="persist compiled kernels/programs under DIR so warm "
                         "runs and campaign workers skip compilation "
@@ -669,9 +666,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--knowledge-from", metavar="PATH",
                     help="preload each item's knowledge store from this "
                          "repro-knowledge/v1 sidecar")
-    cp.add_argument("--broadcast", action="store_true",
-                    help="share proven facts between workers live (faster "
-                         "at >1 workers; results become timing-dependent)")
     cp.add_argument("--policy", metavar="PATH", default=None,
                     help="repro-policy/v1 artifact applied to every item "
                          "(cheap-first order + predicted pass skips; the "

@@ -98,8 +98,6 @@ class HybridTestGenerator:
         backend: simulation backend for every simulator the driver builds
             (``"event"`` or ``"codegen"``); ``None`` defers to the
             ``REPRO_SIM_BACKEND`` environment variable.
-        jobs: worker processes for validation fault simulation (1 =
-            in-process).
         telemetry: metrics/trace recorder shared by every component the
             driver builds; defaults to the shared no-op recorder.
         clock: wall-clock source for every deadline and duration the
@@ -142,7 +140,6 @@ class HybridTestGenerator:
         use_current_state: bool = True,
         constraints: Optional[InputConstraints] = None,
         backend: Optional[str] = None,
-        jobs: int = 1,
         telemetry: Optional[Recorder] = None,
         clock: Optional[Callable[[], float]] = None,
         knowledge: "bool | StateKnowledge" = True,
@@ -197,9 +194,8 @@ class HybridTestGenerator:
             max_frames=max_frames,
             max_solutions=max_solutions,
         )
-        self.fault_sim = self.ctx.fault_simulator(width=width, jobs=jobs)
+        self.fault_sim = self.ctx.fault_simulator(width=width)
         self.backend = self.fault_sim.backend
-        self.jobs = self.fault_sim.jobs
         self.ga_justifier = GAStateJustifier(self.ctx, rng=self.rng)
         self.generator_name = generator_name
         self.use_current_state = use_current_state
@@ -315,7 +311,6 @@ class HybridTestGenerator:
             seed=self.seed,
             backend=self.backend,
             fault_model=self.ctx.fault_model,
-            jobs=self.jobs,
             width=self.width,
         )
         compiles0, compile_s0 = _kernel_compile_totals()

@@ -58,9 +58,9 @@ _FP_ATTR = "_kernel_cache_fingerprint"
 def configure(path: Optional[str]) -> None:
     """Set (or clear, with ``None``/empty) the cache directory.
 
-    The choice is stored in the process environment, so worker processes
-    started after this call — campaign workers, fault-sim shards —
-    inherit it without any explicit plumbing.
+    The choice is stored in the process environment, so campaign worker
+    processes started after this call inherit it without any explicit
+    plumbing.
     """
     if path:
         os.environ[ENV_VAR] = str(path)

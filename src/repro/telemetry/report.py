@@ -99,6 +99,8 @@ class RunReport:
     #: non-default, so stuck-at report payloads stay byte-identical to
     #: documents written before the field existed
     fault_model: str = "stuck_at"
+    #: worker processes behind the report: a campaign's pool size, 1 for
+    #: a single run
     jobs: int = 1
     width: int = 64
     detected: int = 0

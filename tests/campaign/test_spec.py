@@ -53,6 +53,15 @@ class TestSerialization:
         with pytest.raises(CampaignError, match="bogus"):
             CampaignSpec.from_dict(data)
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_rejects_removed_knowledge_broadcast_key(self, value):
+        # the live broadcast channel is gone; a spec that still names it
+        # must fail loudly rather than run with different semantics
+        data = spec().to_dict()
+        data["knowledge_broadcast"] = value
+        with pytest.raises(CampaignError, match="knowledge_broadcast"):
+            CampaignSpec.from_dict(data)
+
     def test_rejects_wrong_schema(self):
         data = spec().to_dict()
         data["schema"] = "other/v9"
@@ -73,6 +82,15 @@ class TestHash:
     def test_changes_with_result_affecting_fields(self):
         assert spec(seed=1).spec_hash() != spec(seed=2).spec_hash()
         assert spec(shard_size=8).spec_hash() != spec(shard_size=9).spec_hash()
+
+    def test_pinned_literals(self):
+        # the hash is every journal's identity: a change here orphans
+        # existing journals and service job ids
+        assert (CampaignSpec(circuits=("s27",), seed=3).spec_hash()
+                == "44ba01da4f6681dc")
+        assert (CampaignSpec(circuits=("s27",), seed=3,
+                             fault_model="transition").spec_hash()
+                == "4846719b473acfd9")
 
     def test_default_justify_depth_not_serialized(self):
         # specs predating the field keep their hash and journal identity

@@ -309,71 +309,6 @@ class TestBackendRegistry:
             resolve_backend("vhdl")
 
 
-class TestShardedRun:
-    def _run(self, jobs, backend="codegen", width=4, **kwargs):
-        circuit = s27()
-        faults = full_fault_list(circuit)
-        rng = random.Random(7)
-        vectors = [
-            [rng.getrandbits(1) for _ in circuit.inputs] for _ in range(15)
-        ]
-        states = {}
-        sim = FaultSimulator(circuit, width=width, backend=backend, jobs=jobs)
-        result = sim.run(vectors, faults, fault_states=states, **kwargs)
-        return result, states
-
-    @pytest.mark.parametrize("backend", ["event", "codegen"])
-    def test_sharded_matches_sequential(self, backend):
-        r1, s1 = self._run(jobs=1, backend=backend)
-        r4, s4 = self._run(jobs=4, backend=backend)
-        assert r1.detected == r4.detected
-        assert list(r1.detected) == list(r4.detected)  # merge order too
-        assert r1.fault_states == r4.fault_states
-        assert s1 == s4
-        assert r1.good_outputs == r4.good_outputs
-        assert r1.good_state == r4.good_state
-
-    def test_sharded_signatures_match(self):
-        r1, _ = self._run(jobs=1, record_signatures=True)
-        r3, _ = self._run(jobs=3, record_signatures=True)
-        assert r1.signatures == r3.signatures
-
-    def test_fallback_without_fork(self, monkeypatch):
-        from repro.simulation import fault_sim as fs
-
-        monkeypatch.setattr(fs, "_fork_available", lambda: False)
-        r1, s1 = self._run(jobs=1)
-        r4, s4 = self._run(jobs=4)  # silently degrades to in-process
-        assert r1.detected == r4.detected
-        assert s1 == s4
-
-    def test_jobs_one_never_forks(self, monkeypatch):
-        from repro.simulation import fault_sim as fs
-
-        def boom(*_a, **_k):
-            raise AssertionError("sharded path used with jobs=1")
-
-        monkeypatch.setattr(fs.FaultSimulator, "_run_sharded", boom)
-        result, _ = self._run(jobs=1)
-        assert result.detected
-
-    def test_per_call_jobs_override(self):
-        circuit = s27()
-        faults = full_fault_list(circuit)
-        vectors = [[1, 0, 1, 1], [0, 1, 1, 0], [1, 1, 0, 1]]
-        sim = FaultSimulator(circuit, width=4, jobs=1)
-        r_seq = sim.run(vectors, faults)
-        r_par = sim.run(vectors, faults, jobs=2)
-        assert r_seq.detected == r_par.detected
-
-    def test_split_chunks(self):
-        from repro.simulation.fault_sim import _split_chunks
-
-        assert _split_chunks([1, 2, 3, 4, 5], 2) == [[1, 2, 3], [4, 5]]
-        assert _split_chunks([1, 2], 8) == [[1], [2]]
-        assert _split_chunks([1], 1) == [[1]]
-
-
 class TestCliPlumbing:
     def test_atpg_backend_and_jobs_flags(self, tmp_path, capsys):
         from repro.cli import main
@@ -381,7 +316,7 @@ class TestCliPlumbing:
         out = tmp_path / "vec.txt"
         rc = main([
             "atpg", "s27", "--passes", "1", "--seq-len", "4",
-            "--time-scale", "0.01", "--backend", "codegen", "--jobs", "2",
+            "--time-scale", "0.01", "--backend", "codegen",
             "-o", str(out),
         ])
         assert rc == 0

@@ -14,6 +14,7 @@ from repro.simulation.compiled import compile_circuit
 from repro.simulation.encoding import X, pack_const, unpack
 from repro.simulation.fault_sim import FaultSimulator, fault_coverage, injection_for
 from repro.simulation.logic_sim import FrameSimulator
+from repro.telemetry import TelemetryRecorder
 
 from ..conftest import random_circuits
 
@@ -109,6 +110,27 @@ class TestDetectionRecords:
         vectors = [[rng.getrandbits(1) for _ in circuit.inputs] for _ in range(50)]
         result = FaultSimulator(circuit).run(vectors, faults)
         assert set(result.fault_states) == set(faults) - set(result.detected)
+
+
+class TestFrameCounter:
+    @pytest.mark.parametrize("backend", ["event", "codegen", "numpy"])
+    def test_frames_cover_every_batch(self, backend):
+        # record_signatures disables early stopping, so every batch steps
+        # every vector and sim.frames is exactly batches x vectors
+        circuit = s27()
+        faults = full_fault_list(circuit)
+        rng = random.Random(5)
+        vectors = [
+            [rng.getrandbits(1) for _ in circuit.inputs] for _ in range(9)
+        ]
+        recorder = TelemetryRecorder()
+        sim = FaultSimulator(circuit, width=4, backend=backend,
+                             telemetry=recorder)
+        sim.run(vectors, faults, record_signatures=True)
+        batches = -(-len(faults) // 4)
+        assert batches > 1
+        assert recorder.value("sim.batches") == batches
+        assert recorder.value("sim.frames") == batches * len(vectors)
 
 
 class TestCoverageHelper:
